@@ -8,7 +8,7 @@ backend's acceptance bar is a >= 3x wall-clock speedup while returning
 
 The timing loop disables :mod:`repro.obs` around the traversals: the
 suite-wide conftest enables it for the metrics sidecar, but an enabled
-observer routes both backends onto their (python) counted twins, which
+observer routes both backends onto the instrumented python loop, which
 would measure instrumentation, not the array kernel.
 """
 
@@ -44,7 +44,7 @@ def bench_csr_single_source_speedup(benchmark):
         return time.perf_counter() - t0, trees
 
     def run():
-        obs.disable()  # measure the plain twins, not the counted ones
+        obs.disable()  # measure the plain paths, not the instrumented loop
         try:
             dict_s, dict_trees = timed(network)
             csr_s, csr_trees = timed(csr)

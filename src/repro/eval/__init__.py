@@ -1,6 +1,6 @@
 """Evaluation utilities: clustering quality metrics and instrumentation."""
 
-from repro.eval.counters import OpCounter, StatsRegistry, Stopwatch
+from repro.eval.counters import Stopwatch
 from repro.eval.params import estimate_delta, estimate_eps, knn_distance_sample
 from repro.eval.metrics import (
     NOISE,
@@ -15,8 +15,6 @@ __all__ = [
     "estimate_delta",
     "estimate_eps",
     "knn_distance_sample",
-    "OpCounter",
-    "StatsRegistry",
     "Stopwatch",
     "NOISE",
     "adjusted_rand_index",

@@ -1,104 +1,13 @@
-"""Legacy instrumentation shims over :mod:`repro.obs`.
+"""Instrumentation re-export kept for the ``repro.eval`` namespace.
 
-This module predates the unified observability subsystem; it is kept as a
-thin compatibility layer so existing imports (``Stopwatch``, ``OpCounter``,
-``StatsRegistry``) keep working.  New code should use :mod:`repro.obs`
-directly: its counters, spans and reports are what the CLI's ``--stats`` /
-``--trace`` flags and the benchmark metrics sidecars are built on.
-
-* :class:`Stopwatch` is re-exported from :mod:`repro.obs.timing` unchanged.
-* :class:`OpCounter` remains a plain dataclass of traversal counts, with
-  :meth:`OpCounter.publish` to fold its values into the global registry
-  under the ``dijkstra.*``-style namespace.
-* :class:`StatsRegistry` keeps its named-timers/named-counters API and
-  gains :meth:`StatsRegistry.publish` to mirror everything it recorded into
-  :mod:`repro.obs`.
+:class:`Stopwatch` is re-exported from :mod:`repro.obs.timing` unchanged.
+Counters and spans live in :mod:`repro.obs`: they are what the CLI's
+``--stats`` / ``--trace`` flags and the benchmark metrics sidecars are
+built on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro import obs
 from repro.obs.timing import Stopwatch
 
-__all__ = ["Stopwatch", "OpCounter", "StatsRegistry"]
-
-
-@dataclass
-class OpCounter:
-    """Counts of the elementary operations performed by a traversal."""
-
-    heap_pushes: int = 0
-    heap_pops: int = 0
-    nodes_settled: int = 0
-    edges_relaxed: int = 0
-    points_scanned: int = 0
-
-    def reset(self) -> None:
-        self.heap_pushes = 0
-        self.heap_pops = 0
-        self.nodes_settled = 0
-        self.edges_relaxed = 0
-        self.points_scanned = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "heap_pushes": self.heap_pushes,
-            "heap_pops": self.heap_pops,
-            "nodes_settled": self.nodes_settled,
-            "edges_relaxed": self.edges_relaxed,
-            "points_scanned": self.points_scanned,
-        }
-
-    def publish(self, prefix: str) -> None:
-        """Fold these counts into :mod:`repro.obs` as ``<prefix>.<field>``
-        (a no-op while observability is disabled)."""
-        for key, value in self.as_dict().items():
-            if value:
-                obs.add(f"{prefix}.{key}", value)
-
-    def __add__(self, other: "OpCounter") -> "OpCounter":
-        return OpCounter(
-            heap_pushes=self.heap_pushes + other.heap_pushes,
-            heap_pops=self.heap_pops + other.heap_pops,
-            nodes_settled=self.nodes_settled + other.nodes_settled,
-            edges_relaxed=self.edges_relaxed + other.edges_relaxed,
-            points_scanned=self.points_scanned + other.points_scanned,
-        )
-
-
-@dataclass
-class StatsRegistry:
-    """Named stopwatches and counters for a whole experiment run.
-
-    A local registry: several experiments can record independently and only
-    :meth:`publish` merges a run into the process-global :mod:`repro.obs`
-    namespace.
-    """
-
-    timers: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
-
-    def timer(self, name: str) -> Stopwatch:
-        return self.timers.setdefault(name, Stopwatch())
-
-    def counter(self, name: str) -> OpCounter:
-        return self.counters.setdefault(name, OpCounter())
-
-    def report(self) -> dict:
-        """A flat, printable summary of all recorded statistics."""
-        out: dict = {}
-        for name, sw in self.timers.items():
-            out[f"time.{name}"] = sw.elapsed
-        for name, ctr in self.counters.items():
-            for key, value in ctr.as_dict().items():
-                out[f"ops.{name}.{key}"] = value
-        return out
-
-    def publish(self) -> None:
-        """Mirror every recorded counter into :mod:`repro.obs` under
-        ``ops.<name>.<field>`` (timers are not mirrored: wall-clock belongs
-        to spans, which carry hierarchy this registry lacks)."""
-        for name, ctr in self.counters.items():
-            ctr.publish(f"ops.{name}")
+__all__ = ["Stopwatch"]

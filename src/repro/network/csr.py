@@ -4,50 +4,56 @@
 (or the disk-backed :class:`~repro.storage.netstore.NetworkStore`) into
 flat numpy arrays — int64 ``indptr``/``indices``, float64 ``weights``, and
 a node-id ↔ row bijection sorted by node id — and serves the
-:class:`~repro.network.interface.NetworkBackend` protocol plus the
-optional array-native Dijkstra kernels that
-:mod:`repro.network.dijkstra` duck-dispatches to.
+:class:`~repro.network.interface.NetworkBackend` protocol plus one
+optional array kernel.
+
+What runs where
+---------------
+A plain, untargeted :func:`~repro.network.dijkstra.single_source` runs
+scipy's C Dijkstra over the CSR arrays (settle order reconstructed with a
+stable argsort over the distance vector).  Every other traversal —
+targeted or with paths, the concurrent multi-source expansion, and any
+search with obs, faults, budgets or deadlines engaged — runs the generic
+loops in :mod:`repro.network.dijkstra` over :meth:`CSRNetwork.neighbors`,
+so early termination, ``dijkstra.*`` counters, fault sites, budget
+charges and deadline checkpoints are the dict backend's by construction.
+Without scipy, :attr:`CSRNetwork.dijkstra_single_source` is ``None``,
+``kernel_backend`` reads ``"python"``, and the generic loops run
+everything.
 
 Bit-identity contract
 ---------------------
-The dict backend is the oracle: every kernel here must return the same
+The dict backend is the oracle: the CSR backend must return the same
 distances *to the bit*, settle nodes in the same order, and break ties
-identically.  Three facts make that achievable:
+identically.  Three facts make that hold:
 
+* ``neighbors()`` yields each row's pairs in the source network's
+  insertion order, so the generic loops — including the push-order
+  counter that breaks exact distance ties in
+  :func:`~repro.network.dijkstra.multi_source` — advance in the same
+  sequence on either backend.
 * Rows are sorted by node id, so "smaller row" ≡ "smaller node id" — the
   heap tie-break of the dict path (``(distance, node)`` tuples) maps to
-  lexicographic ``(distance, row)`` order.
+  the scipy kernel's lexicographic ``(distance, row)`` settle order.
 * IEEE-754 rounding is monotone, so for positive weights the left-fold
   prefix sums along any path are nondecreasing; every correct Dijkstra —
   including scipy's C implementation — computes exactly
   ``min over paths of fl(...fl(fl(0 + w1) + w2)... + wk)``, the same
   value the dict path's ``d + weight`` folds produce.
-* Per-row adjacency preserves the source network's insertion order, so
-  the push-order counters that break exact distance ties in
-  :func:`~repro.network.dijkstra.multi_source` advance in the same
-  sequence on either backend.
-
-The untargeted plain kernel therefore runs scipy's C Dijkstra when scipy
-is importable (settle order reconstructed with a stable argsort over the
-distance vector) and falls back to a portable heap loop otherwise;
-targeted searches and the counted/guarded twins always run the exact
-Python mirror of the dict loops so early termination, ``dijkstra.*``
-counters, fault sites, budget charges, and deadline checkpoints stay
-backend-invariant.
 
 Staleness
 ---------
 The backend captures the source network's mutation edition at freeze
-time; every public access re-checks it and raises
+time; every public access re-checks it (and the generic traversals call
+:meth:`CSRNetwork.check_fresh` once per search) and raises
 :class:`~repro.exceptions.StaleBackendError` once the source has mutated,
 rather than serving distances off arrays that no longer match the graph.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -57,10 +63,7 @@ from repro.exceptions import (
     ParameterError,
     StaleBackendError,
 )
-from repro.faults.core import STATE as _FAULTS, fire as _fault
 from repro.network.graph import normalize_edge
-from repro.obs.core import STATE as _OBS, add as _obs_add
-from repro.resilience.deadline import STATE as _RES, check as _res_check
 
 try:  # scipy is an optional accelerator, never a hard dependency
     from scipy.sparse import csr_matrix as _csr_matrix
@@ -112,9 +115,9 @@ class CSRNetwork:
         row_of: dict[int, int] = {nid: r for r, nid in enumerate(ids_sorted)}
         n = len(ids_sorted)
 
-        # Per-row adjacency in *source insertion order* (the kernels and
-        # neighbors() iterate these tuples), plus the CSR triplet over
-        # id-sorted rows for the scipy kernel.
+        # Per-row adjacency in *source insertion order* (neighbors()
+        # yields these tuples), plus the CSR triplet over id-sorted rows
+        # for the scipy kernel.
         nbr_pairs: list[tuple[tuple[int, float], ...]] = [()] * n
         indptr = np.zeros(n + 1, dtype=np.int64)
         cols: list[int] = []
@@ -158,17 +161,20 @@ class CSRNetwork:
     def freeze(cls, network) -> "CSRNetwork":
         """Freeze ``network`` into a CSR snapshot (idempotent)."""
         if isinstance(network, CSRNetwork):
-            network._check_stale()
+            network.check_fresh()
             return network
         return cls(network)
 
     @property
     def kernel_backend(self) -> str:
         """``"scipy"`` when the C kernel serves untargeted searches, else
-        ``"python"`` (the portable fallback)."""
+        ``"python"`` (the generic loops in :mod:`repro.network.dijkstra`
+        serve everything)."""
         return "python" if self._matrix is None else "scipy"
 
-    def _check_stale(self) -> None:
+    def check_fresh(self) -> None:
+        """Raise :class:`~repro.exceptions.StaleBackendError` once the
+        source network has mutated since the freeze."""
         if (
             self._src_edition is not None
             and self.source_network._edition != self._src_edition
@@ -190,26 +196,26 @@ class CSRNetwork:
         return self._num_edges
 
     def has_node(self, node: int) -> bool:
-        self._check_stale()
+        self.check_fresh()
         return node in self._row_of
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_stale()
+        self.check_fresh()
         if u == v:
             return False
         return normalize_edge(u, v) in self._wmap
 
     def nodes(self) -> Iterator[int]:
         """Iterate node ids in the *source network's* order."""
-        self._check_stale()
+        self.check_fresh()
         return iter(self._node_order)
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        self._check_stale()
+        self.check_fresh()
         return iter(self._edge_list)
 
     def neighbors(self, node: int) -> Iterator[tuple[int, float]]:
-        self._check_stale()
+        self.check_fresh()
         try:
             row = self._row_of[node]
         except KeyError:
@@ -217,14 +223,14 @@ class CSRNetwork:
         return iter(self._nbr_pairs[row])
 
     def degree(self, node: int) -> int:
-        self._check_stale()
+        self.check_fresh()
         try:
             return len(self._nbr_pairs[self._row_of[node]])
         except KeyError:
             raise NodeNotFoundError(node) from None
 
     def edge_weight(self, u: int, v: int) -> float:
-        self._check_stale()
+        self.check_fresh()
         a, b = normalize_edge(u, v)
         try:
             return self._wmap[(a, b)]
@@ -232,7 +238,7 @@ class CSRNetwork:
             raise EdgeNotFoundError(a, b) from None
 
     def node_coords(self, node: int) -> tuple[float, float]:
-        self._check_stale()
+        self.check_fresh()
         if node not in self._row_of:
             raise NodeNotFoundError(node)
         try:
@@ -266,32 +272,14 @@ class CSRNetwork:
         )
 
     # ------------------------------------------------------------------
-    # Internal adjacency for the kernels
+    # The one array kernel: plain untargeted single source
     # ------------------------------------------------------------------
-    def _pairs(self, node: int) -> tuple[tuple[int, float], ...]:
-        try:
-            return self._nbr_pairs[self._row_of[node]]
-        except KeyError:
-            raise NodeNotFoundError(node) from None
-
-    # ------------------------------------------------------------------
-    # Array kernel: single source
-    # ------------------------------------------------------------------
-    def dijkstra_single_source(
-        self,
-        source: int,
-        targets: Iterable[int] | None = None,
-        cutoff: float = math.inf,
-    ) -> dict[int, float]:
-        """Kernel behind :func:`repro.network.dijkstra.single_source`."""
-        self._check_stale()
-        if _FAULTS.engaged or _RES.engaged:
-            return self._single_source_guarded(source, targets, cutoff)
-        if _OBS.enabled:
-            return self._single_source_counted(source, targets, cutoff)
-        if self._matrix is not None and targets is None:
-            return self._single_source_scipy(source, cutoff)
-        return self._single_source_plain(source, targets, cutoff)
+    @property
+    def dijkstra_single_source(self):
+        """scipy's C Dijkstra behind a plain, untargeted
+        :func:`~repro.network.dijkstra.single_source`, or ``None`` when
+        scipy is absent (the generic heap loop then runs instead)."""
+        return None if self._matrix is None else self._single_source_scipy
 
     def _single_source_scipy(self, source: int, cutoff: float) -> dict[int, float]:
         """Untargeted expansion via scipy's C Dijkstra.
@@ -313,392 +301,3 @@ class CSRNetwork:
         sel = np.flatnonzero(mask)
         order = sel[np.argsort(d[sel], kind="stable")]
         return dict(zip(self._ids[order].tolist(), d[order].tolist()))
-
-    def _single_source_plain(
-        self, source: int, targets: Iterable[int] | None, cutoff: float
-    ) -> dict[int, float]:
-        # Exact mirror of the dict backend's plain loop (early target
-        # termination included), iterating the frozen adjacency tuples.
-        pairs = self._nbr_pairs
-        row_of = self._row_of
-        remaining = set(targets) if targets is not None else None
-        dist: dict[int, float] = {}
-        heap: list[tuple[float, int]] = [(0.0, source)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in dist:
-                continue
-            dist[node] = d
-            if remaining is not None:
-                remaining.discard(node)
-                if not remaining:
-                    break
-            try:
-                row = row_of[node]
-            except KeyError:
-                raise NodeNotFoundError(node) from None
-            for nbr, weight in pairs[row]:
-                if nbr in dist:
-                    continue
-                nd = d + weight
-                if nd <= cutoff:
-                    heapq.heappush(heap, (nd, nbr))
-        return dist
-
-    def _single_source_counted(
-        self, source: int, targets: Iterable[int] | None, cutoff: float
-    ) -> dict[int, float]:
-        pairs = self._nbr_pairs
-        row_of = self._row_of
-        remaining = set(targets) if targets is not None else None
-        dist: dict[int, float] = {}
-        heap: list[tuple[float, int]] = [(0.0, source)]
-        pops = 0
-        pushes = 1  # the seed entry
-        relaxed = 0
-        while heap:
-            d, node = heapq.heappop(heap)
-            pops += 1
-            if node in dist:
-                continue
-            dist[node] = d
-            if remaining is not None:
-                remaining.discard(node)
-                if not remaining:
-                    break
-            try:
-                row = row_of[node]
-            except KeyError:
-                raise NodeNotFoundError(node) from None
-            for nbr, weight in pairs[row]:
-                relaxed += 1
-                if nbr in dist:
-                    continue
-                nd = d + weight
-                if nd <= cutoff:
-                    heapq.heappush(heap, (nd, nbr))
-                    pushes += 1
-        _obs_add("dijkstra.runs")
-        _obs_add("dijkstra.heap_pops", pops)
-        _obs_add("dijkstra.heap_pushes", pushes)
-        _obs_add("dijkstra.edges_relaxed", relaxed)
-        _obs_add("dijkstra.nodes_settled", len(dist))
-        return dist
-
-    def _single_source_guarded(
-        self, source: int, targets: Iterable[int] | None, cutoff: float
-    ) -> dict[int, float]:
-        pairs = self._nbr_pairs
-        row_of = self._row_of
-        budget = _FAULTS.budget
-        remaining = set(targets) if targets is not None else None
-        dist: dict[int, float] = {}
-        heap: list[tuple[float, int]] = [(0.0, source)]
-        pops = 0
-        pushes = 1
-        relaxed = 0
-        while heap:
-            d, node = heapq.heappop(heap)
-            pops += 1
-            if node in dist:
-                continue
-            _fault("dijkstra.settle")
-            if _RES.engaged:
-                _res_check("dijkstra.settle", partial=dist)
-            if budget is not None:
-                budget.spend_expansions(1, partial=dist)
-            dist[node] = d
-            if remaining is not None:
-                remaining.discard(node)
-                if not remaining:
-                    break
-            try:
-                row = row_of[node]
-            except KeyError:
-                raise NodeNotFoundError(node) from None
-            for nbr, weight in pairs[row]:
-                relaxed += 1
-                if budget is not None:
-                    budget.spend_distance_computations(1, partial=dist)
-                if nbr in dist:
-                    continue
-                nd = d + weight
-                if nd <= cutoff:
-                    heapq.heappush(heap, (nd, nbr))
-                    pushes += 1
-        if _OBS.enabled:
-            _obs_add("dijkstra.runs")
-            _obs_add("dijkstra.heap_pops", pops)
-            _obs_add("dijkstra.heap_pushes", pushes)
-            _obs_add("dijkstra.edges_relaxed", relaxed)
-            _obs_add("dijkstra.nodes_settled", len(dist))
-        return dist
-
-    # ------------------------------------------------------------------
-    # Array kernel: single source with predecessors
-    # ------------------------------------------------------------------
-    def dijkstra_single_source_with_paths(
-        self, source: int, cutoff: float = math.inf
-    ) -> tuple[dict[int, float], dict[int, int]]:
-        """Kernel behind :func:`repro.network.dijkstra.single_source_with_paths`."""
-        self._check_stale()
-        if _FAULTS.engaged or _RES.engaged:
-            return self._with_paths_guarded(source, cutoff)
-        if _OBS.enabled:
-            return self._with_paths_counted(source, cutoff)
-        pairs = self._nbr_pairs
-        row_of = self._row_of
-        dist: dict[int, float] = {}
-        pred: dict[int, int] = {}
-        heap: list[tuple[float, int, int]] = [(0.0, source, source)]
-        while heap:
-            d, node, parent = heapq.heappop(heap)
-            if node in dist:
-                continue
-            dist[node] = d
-            if node != source:
-                pred[node] = parent
-            try:
-                row = row_of[node]
-            except KeyError:
-                raise NodeNotFoundError(node) from None
-            for nbr, weight in pairs[row]:
-                if nbr in dist:
-                    continue
-                nd = d + weight
-                if nd <= cutoff:
-                    heapq.heappush(heap, (nd, nbr, node))
-        return dist, pred
-
-    def _with_paths_counted(
-        self, source: int, cutoff: float
-    ) -> tuple[dict[int, float], dict[int, int]]:
-        pairs = self._nbr_pairs
-        row_of = self._row_of
-        dist: dict[int, float] = {}
-        pred: dict[int, int] = {}
-        heap: list[tuple[float, int, int]] = [(0.0, source, source)]
-        pops = 0
-        pushes = 1  # the seed entry
-        relaxed = 0
-        while heap:
-            d, node, parent = heapq.heappop(heap)
-            pops += 1
-            if node in dist:
-                continue
-            dist[node] = d
-            if node != source:
-                pred[node] = parent
-            try:
-                row = row_of[node]
-            except KeyError:
-                raise NodeNotFoundError(node) from None
-            for nbr, weight in pairs[row]:
-                relaxed += 1
-                if nbr in dist:
-                    continue
-                nd = d + weight
-                if nd <= cutoff:
-                    heapq.heappush(heap, (nd, nbr, node))
-                    pushes += 1
-        _obs_add("dijkstra.runs")
-        _obs_add("dijkstra.heap_pops", pops)
-        _obs_add("dijkstra.heap_pushes", pushes)
-        _obs_add("dijkstra.edges_relaxed", relaxed)
-        _obs_add("dijkstra.nodes_settled", len(dist))
-        return dist, pred
-
-    def _with_paths_guarded(
-        self, source: int, cutoff: float
-    ) -> tuple[dict[int, float], dict[int, int]]:
-        pairs = self._nbr_pairs
-        row_of = self._row_of
-        budget = _FAULTS.budget
-        dist: dict[int, float] = {}
-        pred: dict[int, int] = {}
-        heap: list[tuple[float, int, int]] = [(0.0, source, source)]
-        pops = 0
-        pushes = 1
-        relaxed = 0
-        while heap:
-            d, node, parent = heapq.heappop(heap)
-            pops += 1
-            if node in dist:
-                continue
-            _fault("dijkstra.settle")
-            if _RES.engaged:
-                _res_check("dijkstra.settle", partial=dist)
-            if budget is not None:
-                budget.spend_expansions(1, partial=dist)
-            dist[node] = d
-            if node != source:
-                pred[node] = parent
-            try:
-                row = row_of[node]
-            except KeyError:
-                raise NodeNotFoundError(node) from None
-            for nbr, weight in pairs[row]:
-                relaxed += 1
-                if budget is not None:
-                    budget.spend_distance_computations(1, partial=dist)
-                if nbr in dist:
-                    continue
-                nd = d + weight
-                if nd <= cutoff:
-                    heapq.heappush(heap, (nd, nbr, node))
-                    pushes += 1
-        if _OBS.enabled:
-            _obs_add("dijkstra.runs")
-            _obs_add("dijkstra.heap_pops", pops)
-            _obs_add("dijkstra.heap_pushes", pushes)
-            _obs_add("dijkstra.edges_relaxed", relaxed)
-            _obs_add("dijkstra.nodes_settled", len(dist))
-        return dist, pred
-
-    # ------------------------------------------------------------------
-    # Array kernel: concurrent multi-source expansion
-    # ------------------------------------------------------------------
-    def dijkstra_multi_source(
-        self,
-        entries: list[tuple[float, int, object]],
-        cutoff: float = math.inf,
-    ) -> tuple[dict[int, float], dict[int, object]]:
-        """Kernel behind :func:`repro.network.dijkstra.multi_source`.
-
-        Always the exact Python mirror: the concurrent expansion breaks
-        exact-distance ties with a push-order counter, a discipline no
-        batch C kernel reproduces, so this loop *is* the semantics.  The
-        frozen adjacency tuples keep the counter sequence identical to
-        the dict backend's.
-        """
-        self._check_stale()
-        if _FAULTS.engaged or _RES.engaged:
-            return self._multi_source_guarded(entries, cutoff)
-        if _OBS.enabled:
-            return self._multi_source_counted(entries, cutoff)
-        pairs = self._nbr_pairs
-        row_of = self._row_of
-        dist: dict[int, float] = {}
-        label: dict[int, object] = {}
-        counter = 0
-        heap: list[tuple[float, int, int, object]] = []
-        for d0, node, lab in entries:
-            if d0 <= cutoff:
-                heap.append((d0, counter, node, lab))
-                counter += 1
-        heapq.heapify(heap)
-        while heap:
-            d, _, node, lab = heapq.heappop(heap)
-            if node in dist:
-                continue
-            dist[node] = d
-            label[node] = lab
-            try:
-                row = row_of[node]
-            except KeyError:
-                raise NodeNotFoundError(node) from None
-            for nbr, weight in pairs[row]:
-                if nbr in dist:
-                    continue
-                nd = d + weight
-                if nd <= cutoff:
-                    counter += 1
-                    heapq.heappush(heap, (nd, counter, nbr, lab))
-        return dist, label
-
-    def _multi_source_counted(
-        self, entries: list[tuple[float, int, object]], cutoff: float
-    ) -> tuple[dict[int, float], dict[int, object]]:
-        pairs = self._nbr_pairs
-        row_of = self._row_of
-        dist: dict[int, float] = {}
-        label: dict[int, object] = {}
-        counter = 0
-        heap: list[tuple[float, int, int, object]] = []
-        for d0, node, lab in entries:
-            if d0 <= cutoff:
-                heap.append((d0, counter, node, lab))
-                counter += 1
-        heapq.heapify(heap)
-        pops = 0
-        pushes = len(heap)
-        relaxed = 0
-        while heap:
-            d, _, node, lab = heapq.heappop(heap)
-            pops += 1
-            if node in dist:
-                continue
-            dist[node] = d
-            label[node] = lab
-            try:
-                row = row_of[node]
-            except KeyError:
-                raise NodeNotFoundError(node) from None
-            for nbr, weight in pairs[row]:
-                relaxed += 1
-                if nbr in dist:
-                    continue
-                nd = d + weight
-                if nd <= cutoff:
-                    counter += 1
-                    heapq.heappush(heap, (nd, counter, nbr, lab))
-                    pushes += 1
-        _obs_add("dijkstra.multi_source_runs")
-        _obs_add("dijkstra.heap_pops", pops)
-        _obs_add("dijkstra.heap_pushes", pushes)
-        _obs_add("dijkstra.edges_relaxed", relaxed)
-        _obs_add("dijkstra.nodes_settled", len(dist))
-        return dist, label
-
-    def _multi_source_guarded(
-        self, entries: list[tuple[float, int, object]], cutoff: float
-    ) -> tuple[dict[int, float], dict[int, object]]:
-        pairs = self._nbr_pairs
-        row_of = self._row_of
-        budget = _FAULTS.budget
-        dist: dict[int, float] = {}
-        label: dict[int, object] = {}
-        counter = 0
-        heap: list[tuple[float, int, int, object]] = []
-        for d0, node, lab in entries:
-            if d0 <= cutoff:
-                heap.append((d0, counter, node, lab))
-                counter += 1
-        heapq.heapify(heap)
-        pops = 0
-        pushes = len(heap)
-        relaxed = 0
-        while heap:
-            d, _, node, lab = heapq.heappop(heap)
-            pops += 1
-            if node in dist:
-                continue
-            _fault("dijkstra.settle")
-            if _RES.engaged:
-                _res_check("dijkstra.settle", partial=(dist, label))
-            if budget is not None:
-                budget.spend_expansions(1, partial=(dist, label))
-            dist[node] = d
-            label[node] = lab
-            try:
-                row = row_of[node]
-            except KeyError:
-                raise NodeNotFoundError(node) from None
-            for nbr, weight in pairs[row]:
-                relaxed += 1
-                if budget is not None:
-                    budget.spend_distance_computations(1, partial=(dist, label))
-                if nbr in dist:
-                    continue
-                nd = d + weight
-                if nd <= cutoff:
-                    counter += 1
-                    heapq.heappush(heap, (nd, counter, nbr, lab))
-                    pushes += 1
-        if _OBS.enabled:
-            _obs_add("dijkstra.multi_source_runs")
-            _obs_add("dijkstra.heap_pops", pops)
-            _obs_add("dijkstra.heap_pushes", pushes)
-            _obs_add("dijkstra.edges_relaxed", relaxed)
-            _obs_add("dijkstra.nodes_settled", len(dist))
-        return dist, label

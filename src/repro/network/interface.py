@@ -22,16 +22,21 @@ Two guarantees matter for bit-identical results across backends:
   adjacency order feeds directly into label assignment on exact distance
   ties).
 
-Optional traversal kernels
---------------------------
-A backend may additionally provide array-native Dijkstra kernels —
-``dijkstra_single_source``, ``dijkstra_single_source_with_paths``, and
-``dijkstra_multi_source``.  The generic traversals in
-:mod:`repro.network.dijkstra` duck-dispatch to them when present and fall
-back to the portable heap loops otherwise.  A kernel must be a drop-in
-twin: bit-identical distances, settle order, and tie-breaking, and the
-same guarded/counted/plain dispatch (fault sites, budget charges, deadline
-checkpoints, ``dijkstra.*`` counters) as the generic loops.
+Optional traversal hooks
+------------------------
+The generic traversals in :mod:`repro.network.dijkstra` look for two
+optional attributes:
+
+* ``dijkstra_single_source(source, cutoff)`` — an array-native kernel for
+  the plain, untargeted single-source search (the one shape a batch C
+  kernel serves without changing semantics).  It is used only when obs,
+  faults, budgets and deadlines are all disarmed; every other search runs
+  the generic loops over ``neighbors()``.  It must return bit-identical
+  distances in settle order, and may be ``None`` to report itself
+  unavailable.
+* ``check_fresh()`` — called once per search by a backend that can go
+  stale (a frozen snapshot of a mutable network), so a search that
+  settles without expanding still refuses stale data.
 """
 
 from __future__ import annotations

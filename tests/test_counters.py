@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.counters import OpCounter, StatsRegistry, Stopwatch
+from repro.eval.counters import Stopwatch
 
 
 class TestStopwatch:
@@ -34,35 +34,3 @@ class TestStopwatch:
             pass
         sw.reset()
         assert sw.elapsed == 0.0
-
-
-class TestOpCounter:
-    def test_addition(self):
-        a = OpCounter(heap_pushes=1, nodes_settled=2)
-        b = OpCounter(heap_pushes=3, edges_relaxed=4)
-        c = a + b
-        assert c.heap_pushes == 4
-        assert c.nodes_settled == 2
-        assert c.edges_relaxed == 4
-
-    def test_reset_and_dict(self):
-        c = OpCounter(heap_pops=5)
-        assert c.as_dict()["heap_pops"] == 5
-        c.reset()
-        assert c.as_dict()["heap_pops"] == 0
-
-
-class TestStatsRegistry:
-    def test_report_combines_everything(self):
-        reg = StatsRegistry()
-        with reg.timer("phase1"):
-            pass
-        reg.counter("traversal").heap_pushes += 7
-        report = reg.report()
-        assert report["time.phase1"] >= 0.0
-        assert report["ops.traversal.heap_pushes"] == 7
-
-    def test_same_name_returns_same_object(self):
-        reg = StatsRegistry()
-        assert reg.timer("x") is reg.timer("x")
-        assert reg.counter("y") is reg.counter("y")

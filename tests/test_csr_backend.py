@@ -109,6 +109,16 @@ class TestFreeze:
             csr.has_node(0)
         with pytest.raises(StaleBackendError):
             single_source(csr, 0)
+        with pytest.raises(StaleBackendError):
+            single_source_with_paths(csr, 0)
+        # Searches that settle without expanding never reach neighbors();
+        # they must refuse the stale view all the same.
+        with pytest.raises(StaleBackendError):
+            single_source(csr, 0, targets=(0,))
+        with pytest.raises(StaleBackendError):
+            multi_source(csr, [])
+        with pytest.raises(StaleBackendError):
+            multi_source(csr, [(5.0, 0, "a")], cutoff=1.0)
         # Re-freezing the mutated source yields a fresh, serving view.
         fresh = CSRNetwork.freeze(net)
         assert fresh.has_edge(0, 8)
@@ -279,6 +289,12 @@ class TestTwinParity:
             obs.disable()
         return {k: v for k, v in counters.items() if k.startswith("dijkstra.")}
 
+    def _budget_counters(self, fn, *args):
+        """Counters with an armed, unbounded budget engaging the fault
+        layer as well as obs."""
+        with OpBudget().activate():
+            return self._counters(fn, *args)
+
     def test_counted_twins_match_dict_backend(self):
         rng = random.Random(3)
         net = make_random_connected_network(rng, 20, extra_edges=10)
@@ -289,6 +305,17 @@ class TestTwinParity:
         assert self._counters(multi_source, net, seeds) == self._counters(
             multi_source, csr, seeds
         )
+        # The one instrumented loop counts the same whether obs alone or
+        # the fault layer sent the call there.
+        for fn, arg in (
+            (single_source, 0),
+            (single_source_with_paths, 0),
+            (multi_source, seeds),
+        ):
+            expected = self._counters(fn, net, arg)
+            assert expected
+            for network in (net, csr):
+                assert self._budget_counters(fn, network, arg) == expected
 
     def test_with_paths_counters_match_single_source(self):
         """Regression: the paths variant under-reported its work."""

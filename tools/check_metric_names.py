@@ -54,7 +54,6 @@ ALLOWED_NAMESPACES = frozenset({
     "kmedoids",
     "live",
     "netstore",
-    "ops",
     "optics",
     "perf",
     "queries",
